@@ -77,6 +77,13 @@ fn bench_verification(c: &mut Criterion) {
         })
     });
 
+    // The same question through a training run's memo: after the first ask it is a
+    // shape-key lookup.
+    let memo = partial::CompletionMemo::new(&engine);
+    c.bench_function("partial_completion_check_3_remaining_memoized", |b| {
+        b.iter(|| std::hint::black_box(memo.can_complete(&prefix, prefix.current(), 3)))
+    });
+
     c.bench_function("parse_ldx_fig1c", |b| {
         b.iter(|| {
             std::hint::black_box(

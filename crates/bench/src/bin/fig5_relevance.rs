@@ -1,5 +1,6 @@
 //! Figure 5 — User-study relevance ratings (1–7) of exploration notebooks per dataset
-//! and system (simulated reviewer panel; see DESIGN.md for the substitution).
+//! and system (simulated reviewer panel; see docs/ARCHITECTURE.md, "Reproduction
+//! substitutions").
 
 use linx_study::{run_study, StudyConfig};
 

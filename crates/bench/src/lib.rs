@@ -1,7 +1,8 @@
 //! `linx-bench` — experiment harnesses and micro-benchmarks for the LINX reproduction.
 //!
 //! Each table and figure of the paper's evaluation (§7) has a dedicated binary in
-//! `src/bin/` that regenerates it (see DESIGN.md's per-experiment index); Criterion
+//! `src/bin/` that regenerates it (see the experiment index in docs/ARCHITECTURE.md,
+//! "Reproduction substitutions"); Criterion
 //! micro-benchmarks in `benches/` cover the performance claims of §7.4 (the LDX
 //! verification engine and the compliance reward add negligible overhead to session
 //! generation).

@@ -1,25 +1,29 @@
 //! The LDX-compliance reward scheme (paper §5.2, Algorithm 2 and Appendix A.3).
 
 use linx_explore::{ExplorationTree, NodeId};
-use linx_ldx::{partial, Ldx, VerifyEngine};
+use linx_ldx::partial::CompletionMemo;
+use linx_ldx::{Ldx, VerifyEngine};
 
 use crate::config::{CdrlConfig, CdrlVariant};
 
 /// Computes the End-of-Session and immediate compliance rewards for a fixed LDX query.
+///
+/// One instance serves one training run: its [`CompletionMemo`] remembers every
+/// structural-feasibility answer the run has asked for.
 #[derive(Debug, Clone)]
 pub struct ComplianceReward {
     engine: VerifyEngine,
-    structural: Ldx,
+    completions: CompletionMemo,
     config: CdrlConfig,
 }
 
 impl ComplianceReward {
     /// Create the reward calculator.
     pub fn new(ldx: Ldx, config: CdrlConfig) -> Self {
-        let structural = ldx.structural();
+        let engine = VerifyEngine::new(ldx);
         ComplianceReward {
-            engine: VerifyEngine::new(ldx),
-            structural,
+            completions: CompletionMemo::new(&engine),
+            engine,
             config,
         }
     }
@@ -67,7 +71,7 @@ impl ComplianceReward {
             // penalty is graded by how far the session is from the required structure
             // (operation-kind and parent-edge coverage), which preserves the paper's
             // "learn the structure first" pressure while giving the smaller budget a
-            // usable gradient. See DESIGN.md.
+            // usable gradient. See docs/ARCHITECTURE.md, "Reproduction substitutions".
             let credit = self.structural_partial_credit(tree);
             return self.config.neg_reward * (1.0 - 0.8 * credit);
         }
@@ -86,7 +90,7 @@ impl ComplianceReward {
     /// the right kind) and coverage of the required parent→child kind edges.
     pub fn structural_partial_credit(&self, tree: &ExplorationTree) -> f64 {
         use linx_explore::OpKind;
-        let structural = &self.structural;
+        let structural = self.engine.structural().ldx();
         // Required kind multiset and required (parent kind, child kind) edges.
         let kind_of = |name: &str| -> Option<OpKind> {
             structural
@@ -166,7 +170,7 @@ impl ComplianceReward {
         if !self.config.variant.immediate_reward() || step < self.config.imm_min_step {
             return 0.0;
         }
-        if partial::can_complete_structurally(&self.structural, tree, current, remaining_ops) {
+        if self.completions.can_complete(tree, current, remaining_ops) {
             0.0
         } else {
             self.config.imm_penalty
@@ -179,7 +183,13 @@ impl ComplianceReward {
     /// variant or the step index — it is the raw feasibility test, used by the
     /// specification-aware action masking (§5.3).
     pub fn can_complete(&self, tree: &ExplorationTree, current: NodeId, remaining: usize) -> bool {
-        partial::can_complete_structurally(&self.structural, tree, current, remaining)
+        self.completions.can_complete(tree, current, remaining)
+    }
+
+    /// The structural-feasibility memo behind [`Self::immediate`] and
+    /// [`Self::can_complete`].
+    pub fn completions(&self) -> &CompletionMemo {
+        &self.completions
     }
 
     /// The variant in effect.

@@ -66,6 +66,9 @@ pub struct LinxEnv {
     /// and a step updates only the new node's minimum distance (O(n) per step, never
     /// an all-pairs rescan).
     diversity: SessionDiversity,
+    /// Σ interestingness over the session's nodes, accumulated next to `diversity`, so
+    /// the final score needs no re-execution of the tree.
+    interest_sum: f64,
     steps_taken: usize,
 }
 
@@ -121,6 +124,7 @@ impl LinxEnv {
             views,
             paths,
             diversity: SessionDiversity::new(),
+            interest_sum: 0.0,
             steps_taken: 0,
         }
     }
@@ -176,6 +180,7 @@ impl LinxEnv {
         self.paths.clear();
         self.paths.insert(NodeId::ROOT, String::new());
         self.diversity.clear();
+        self.interest_sum = 0.0;
         self.steps_taken = 0;
     }
 
@@ -249,6 +254,7 @@ impl LinxEnv {
                             .explore_reward
                             .primary_histogram(&self.tree, &view, node);
                         let diversity = self.diversity.observe(node, hist);
+                        self.interest_sum += interest;
                         let w = self.explore_reward.weights();
                         let r_gen = w.mu * interest + w.lambda * diversity;
                         // Immediate compliance signal.
@@ -327,10 +333,17 @@ impl LinxEnv {
     }
 
     /// The generic exploration score of the final session (used for reporting and for
-    /// picking the best session across episodes).
+    /// picking the best session across episodes): `(μ·Σinterest + λ·Σdiversity) / n`
+    /// over the per-step terms already computed, 0 for an empty session. It is the
+    /// same formula as [`ExplorationReward::session_score`], without re-executing the
+    /// tree.
     pub fn session_score(&self) -> f64 {
-        self.explore_reward
-            .session_score(&self.executor, &self.tree)
+        let n = self.tree.num_ops();
+        if n == 0 {
+            return 0.0;
+        }
+        let w = self.explore_reward.weights();
+        (w.mu * self.interest_sum + w.lambda * self.diversity.total()) / n as f64
     }
 
     /// Whether the final session is fully / structurally compliant.
@@ -551,6 +564,42 @@ mod tests {
         let warm = env.shared_stats().stats.stats();
         assert_eq!(warm.misses, cold.misses, "replay computes nothing new");
         assert!(warm.hits > cold.hits, "replay is served from the cache");
+    }
+
+    #[test]
+    fn incremental_session_score_equals_the_recomputed_one() {
+        let mut env = LinxEnv::new(dataset(), ldx(), CdrlConfig::default());
+        assert_eq!(env.session_score(), 0.0, "empty session before any step");
+        env.reset();
+        for action in [
+            AgentAction::Apply(QueryOp::filter(
+                "country",
+                CompareOp::Eq,
+                Value::str("India"),
+            )),
+            AgentAction::Apply(QueryOp::group_by("type", AggFunc::Count, "id")),
+            AgentAction::Back,
+            AgentAction::Back,
+            AgentAction::Apply(QueryOp::filter(
+                "no_such_column",
+                CompareOp::Eq,
+                Value::Int(0),
+            )),
+            AgentAction::Apply(QueryOp::filter(
+                "country",
+                CompareOp::Neq,
+                Value::str("India"),
+            )),
+            AgentAction::Apply(QueryOp::group_by("country", AggFunc::Count, "id")),
+        ] {
+            env.step(action);
+        }
+        assert_eq!(env.tree().num_ops(), 4);
+        let recomputed = env.explore_reward.session_score(&env.executor, env.tree());
+        assert!(recomputed > 0.0);
+        assert_eq!(env.session_score().to_bits(), recomputed.to_bits());
+        env.reset();
+        assert_eq!(env.session_score(), 0.0, "empty session after reset");
     }
 
     #[test]

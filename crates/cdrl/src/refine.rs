@@ -14,7 +14,8 @@
 //! generic exploration score. It is only ever applied to an already-compliant tree, so it
 //! cannot turn a compliant session non-compliant, and it only *raises* the exploration
 //! utility. This preserves the paper's semantics ("maximal-utility session in accordance
-//! with the specifications") at a budget a laptop can afford. Documented in DESIGN.md.
+//! with the specifications") at a budget a laptop can afford. Documented in
+//! docs/ARCHITECTURE.md, "Reproduction substitutions".
 
 use std::collections::BTreeSet;
 

@@ -13,7 +13,10 @@
 //! `C_N` (Appendix A.3); the helper [`catalan`] and [`count_completions`] expose the
 //! bound and the exact count for analysis and benchmarking.
 
-use linx_explore::{ExplorationTree, NodeId};
+use std::cell::RefCell;
+use std::collections::HashMap;
+
+use linx_explore::{ExplorationTree, NodeId, OpKind};
 
 use crate::ast::Ldx;
 use crate::verify::{MatchTree, VerifyEngine};
@@ -22,21 +25,38 @@ use crate::verify::{MatchTree, VerifyEngine};
 /// operations can satisfy the *structural* part of `ldx`.
 ///
 /// `current` is the node under which the next operation would be placed (the CDRL
-/// environment's cursor).
+/// environment's cursor). This builds the structural engine and searches afresh on
+/// every call; callers asking repeatedly about one query should hold a
+/// [`CompletionMemo`].
 pub fn can_complete_structurally(
     ldx: &Ldx,
     tree: &ExplorationTree,
     current: NodeId,
     remaining: usize,
 ) -> bool {
-    let engine = VerifyEngine::new(ldx.structural());
+    search_completions(
+        &VerifyEngine::new(ldx.structural()),
+        tree,
+        current,
+        remaining,
+    )
+}
+
+/// The completion search behind [`can_complete_structurally`], over a prebuilt
+/// structural engine.
+fn search_completions(
+    engine: &VerifyEngine,
+    tree: &ExplorationTree,
+    current: NodeId,
+    remaining: usize,
+) -> bool {
     let mtree = MatchTree::from(tree);
     // Fast path: already satisfied.
     if engine.find_assignment_in(&mtree).is_some() {
         return true;
     }
     let mut found = false;
-    explore_completions(&engine, mtree, current.index(), remaining, &mut found);
+    explore_completions(engine, mtree, current.index(), remaining, &mut found);
     found
 }
 
@@ -57,7 +77,7 @@ fn explore_completions(
     let mut cur = Some(current);
     while let Some(c) = cur {
         attach_points.push(c);
-        cur = parent_of(&tree, c);
+        cur = tree.parent(c);
     }
     for &p in &attach_points {
         let mut next = tree.clone();
@@ -73,9 +93,76 @@ fn explore_completions(
     }
 }
 
-fn parent_of(tree: &MatchTree, node: usize) -> Option<usize> {
-    // MatchTree exposes children; reconstruct parent by scanning (trees are tiny).
-    (0..tree.len()).find(|&idx| tree.children(idx).contains(&node))
+/// Everything [`can_complete_structurally`] depends on: each operation node's parent
+/// index and operation kind (in node order), the cursor, and the remaining budget.
+///
+/// Operation parameters are left out on purpose. `struct(Q_X)` keeps only the kind
+/// token of every `LIKE` pattern ([`crate::OpPattern::structural`]), so two sessions
+/// that differ only in parameters have the same structural answer.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct ShapeKey {
+    nodes: Vec<(usize, OpKind)>,
+    cursor: usize,
+    remaining: usize,
+}
+
+impl ShapeKey {
+    /// The key of an ongoing session at cursor `current` with `remaining` steps left.
+    pub fn of(tree: &ExplorationTree, current: NodeId, remaining: usize) -> ShapeKey {
+        let nodes = (1..tree.len())
+            .filter_map(|idx| {
+                let id = NodeId(idx);
+                Some((tree.parent(id)?.index(), tree.op(id)?.kind()))
+            })
+            .collect();
+        ShapeKey {
+            nodes,
+            cursor: current.index(),
+            remaining,
+        }
+    }
+}
+
+/// [`can_complete_structurally`] for one query, memoized by [`ShapeKey`].
+///
+/// Holds the structural engine, built once, and remembers every answer. One memo
+/// serves one training run, which visits only a few hundred distinct shapes, so the
+/// map is never pruned. It is single-threaded by design (a `RefCell`, no lock).
+#[derive(Debug, Clone)]
+pub struct CompletionMemo {
+    engine: VerifyEngine,
+    answers: RefCell<HashMap<ShapeKey, bool>>,
+}
+
+impl CompletionMemo {
+    /// A memo over the structural reduction of `query`'s specification.
+    pub fn new(query: &VerifyEngine) -> Self {
+        CompletionMemo {
+            engine: query.structural().clone(),
+            answers: RefCell::new(HashMap::new()),
+        }
+    }
+
+    /// Same answer as [`can_complete_structurally`] on this memo's query.
+    pub fn can_complete(&self, tree: &ExplorationTree, current: NodeId, remaining: usize) -> bool {
+        let key = ShapeKey::of(tree, current, remaining);
+        if let Some(&known) = self.answers.borrow().get(&key) {
+            return known;
+        }
+        let answer = search_completions(&self.engine, tree, current, remaining);
+        self.answers.borrow_mut().insert(key, answer);
+        answer
+    }
+
+    /// Number of distinct shapes decided so far.
+    pub fn len(&self) -> usize {
+        self.answers.borrow().len()
+    }
+
+    /// Whether nothing has been decided yet.
+    pub fn is_empty(&self) -> bool {
+        self.answers.borrow().is_empty()
+    }
 }
 
 /// Exact number of distinct completions when extending a session whose current node has

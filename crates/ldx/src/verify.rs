@@ -17,6 +17,7 @@
 //!   future steps are represented as *blank* nodes that match any operation.
 
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 use linx_explore::{ExplorationTree, NodeId};
 use serde::{Deserialize, Serialize};
@@ -60,6 +61,11 @@ impl MatchTree {
     /// Children of a node.
     pub fn children(&self, idx: usize) -> &[usize] {
         &self.children[idx]
+    }
+
+    /// Parent of a node (`None` for the root).
+    pub(crate) fn parent(&self, idx: usize) -> Option<usize> {
+        self.parents[idx]
     }
 
     /// Append a blank node under `parent`, returning its index.
@@ -127,6 +133,9 @@ pub struct VerifyEngine {
     ldx: Ldx,
     /// Specs re-ordered so a node's declared parent/ancestor is processed before it.
     order: Vec<usize>,
+    /// The engine for `struct(Q_X)`, built on first use and then kept, so structural
+    /// checks on every episode end do not re-reduce and re-order the query.
+    structural: OnceLock<Box<VerifyEngine>>,
 }
 
 impl VerifyEngine {
@@ -134,7 +143,17 @@ impl VerifyEngine {
     /// queries still work but may never match.
     pub fn new(ldx: Ldx) -> Self {
         let order = processing_order(&ldx);
-        VerifyEngine { ldx, order }
+        VerifyEngine {
+            ldx,
+            order,
+            structural: OnceLock::new(),
+        }
+    }
+
+    /// The engine for the structural reduction `struct(Q_X)` of this query.
+    pub fn structural(&self) -> &VerifyEngine {
+        self.structural
+            .get_or_init(|| Box::new(VerifyEngine::new(self.ldx.structural())))
     }
 
     /// The underlying query.
@@ -313,14 +332,12 @@ impl VerifyEngine {
     /// All assignments of the *structural* reduction of the query (operation kinds and
     /// tree shape only). Empty iff the tree violates `struct(Q_X)`.
     pub fn structural_assignments(&self, tree: &ExplorationTree) -> Vec<Assignment> {
-        VerifyEngine::new(self.ldx.structural()).all_assignments(tree)
+        self.structural().all_assignments(tree)
     }
 
     /// Whether the tree satisfies the structural specifications.
     pub fn verify_structural(&self, tree: &ExplorationTree) -> bool {
-        let engine = VerifyEngine::new(self.ldx.structural());
-        let mtree = MatchTree::from(tree);
-        engine.find_assignment_in(&mtree).is_some()
+        self.structural().verify(tree)
     }
 
     /// The operational satisfaction ratio of a structural assignment: over all
