@@ -30,9 +30,13 @@ use crate::terms::TermInventory;
 /// Refine the free parameters of a compliant session to maximize the generic exploration
 /// score, keeping it compliant. Returns the input unchanged if it is not already
 /// compliant or no improvement is found.
+///
+/// Candidates are scored through `executor`, over its root dataset. Hand it the
+/// training run's memo-backed executor: candidates differ from the best session in
+/// one parameter, so most of their views are already in its op memo.
 pub fn refine_session(
     tree: &ExplorationTree,
-    dataset: &DataFrame,
+    executor: &SessionExecutor,
     engine: &VerifyEngine,
     terms: &TermInventory,
     reward: &ExplorationReward,
@@ -40,8 +44,8 @@ pub fn refine_session(
     if tree.num_ops() == 0 || !engine.verify(tree) {
         return tree.clone();
     }
-    let executor = SessionExecutor::new(dataset.clone());
-    let score = |t: &ExplorationTree| reward.session_score(&executor, t);
+    let dataset = executor.dataset();
+    let score = |t: &ExplorationTree| reward.session_score(executor, t);
 
     let mut best = tree.clone();
     let mut best_score = score(&best);
@@ -311,13 +315,13 @@ mod tests {
         );
         assert!(engine.verify(&weak));
 
-        let refined = refine_session(&weak, &data, &engine, &terms, &reward);
+        let exec = SessionExecutor::new(data);
+        let refined = refine_session(&weak, &exec, &engine, &terms, &reward);
         assert!(
             engine.verify(&refined),
             "refined session must stay compliant"
         );
 
-        let exec = SessionExecutor::new(data.clone());
         // Refinement moved the group-by off the identifier-like `duration` column onto a
         // lower-cardinality categorical one, strictly raising utility.
         assert!(
@@ -340,7 +344,7 @@ mod tests {
             NodeId::ROOT,
             QueryOp::group_by("type", AggFunc::Count, "duration"),
         );
-        let refined = refine_session(&t, &data, &engine, &terms, &reward);
+        let refined = refine_session(&t, &SessionExecutor::new(data), &engine, &terms, &reward);
         assert_eq!(refined.to_compact_string(), t.to_compact_string());
     }
 
@@ -350,7 +354,13 @@ mod tests {
         let engine = VerifyEngine::new(gold());
         let terms = TermInventory::build(&data, 12);
         let reward = ExplorationReward::default();
-        let refined = refine_session(&bland_session(), &data, &engine, &terms, &reward);
+        let refined = refine_session(
+            &bland_session(),
+            &SessionExecutor::new(data),
+            &engine,
+            &terms,
+            &reward,
+        );
         // Both filters must use the SAME term (the X continuity variable).
         let terms_used: Vec<String> = refined
             .ops_in_order()
@@ -370,7 +380,13 @@ mod tests {
         let engine = VerifyEngine::new(gold());
         let terms = TermInventory::build(&data, 12);
         let reward = ExplorationReward::default();
-        let refined = refine_session(&ExplorationTree::new(), &data, &engine, &terms, &reward);
+        let refined = refine_session(
+            &ExplorationTree::new(),
+            &SessionExecutor::new(data),
+            &engine,
+            &terms,
+            &reward,
+        );
         assert_eq!(refined.num_ops(), 0);
     }
 }

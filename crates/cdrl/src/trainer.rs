@@ -152,11 +152,10 @@ impl CdrlTrainer {
         ldx: Ldx,
         shared: crate::context::DatasetStats,
     ) -> TrainOutcome {
-        let dataset = executor.dataset().clone();
         let stats = std::sync::Arc::clone(&shared.stats);
         let mut env =
             LinxEnv::with_shared(executor.clone(), ldx.clone(), self.config.clone(), shared);
-        let agent_proto = LinxAgent::new(&dataset, &ldx, &self.config);
+        let agent_proto = LinxAgent::new(executor.dataset(), &ldx, &self.config);
         let mut agent = agent_proto;
         let mut pg = PolicyGradientTrainer::new(TrainerConfig {
             lr: self.config.learning_rate,
@@ -263,7 +262,7 @@ impl CdrlTrainer {
                 ExplorationReward::with_cache(linx_explore::RewardWeights::default(), stats);
             let refined = crate::refine::refine_session(
                 &best_tree,
-                &dataset,
+                &executor,
                 env.compliance().engine(),
                 env.terms(),
                 &reward,

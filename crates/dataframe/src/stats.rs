@@ -11,57 +11,88 @@
 //! This module provides the histogram and divergence primitives those scores are built
 //! from.
 
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::column::Column;
 use crate::data::ColumnData;
-use crate::value::{OwnedGroupKey, Value};
+use crate::value::{GroupKey, Value};
 
 /// Smoothing constant used when comparing distributions with disjoint supports.
 const EPS: f64 = 1e-9;
 
 /// A frequency histogram over the distinct non-null values of a column.
 ///
-/// Internally keyed by [`OwnedGroupKey`] — a refcount bump per distinct value, never a
-/// formatted string — so building a histogram allocates only the bucket map.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// Canonical: the entries are sorted by one comparator, [`Value::group_key`], with
+/// distinct keys, no nulls and no zero counts, whichever constructor built them and
+/// in whichever order the cells arrived. Every reduction (entropy, KL, TV) therefore
+/// adds its terms in the same order in every process, and the divergences are
+/// merge-walks over two sorted runs — no hashing, no allocation.
+#[derive(Debug, Clone, Default)]
 pub struct Histogram {
-    counts: HashMap<OwnedGroupKey, (Value, usize)>,
+    entries: Vec<(Value, usize)>,
     total: usize,
+}
+
+/// The canonical entry order: [`Value::group_key`]'s. Interned strings that share
+/// one `Arc` are equal without a byte compare.
+fn key_cmp(a: &Value, b: &Value) -> Ordering {
+    match (a, b) {
+        (Value::Str(x), Value::Str(y)) if Arc::ptr_eq(x, y) => Ordering::Equal,
+        _ => a.group_key().cmp(&b.group_key()),
+    }
+}
+
+impl PartialEq for Histogram {
+    /// Equal keys (by [`Value::group_key`], so `Int(1)` and `Float(1.0)` differ) with
+    /// equal counts; canonical order makes this a pairwise walk.
+    fn eq(&self, other: &Self) -> bool {
+        self.total == other.total
+            && self.entries.len() == other.entries.len()
+            && self
+                .entries
+                .iter()
+                .zip(&other.entries)
+                .all(|((a, ca), (b, cb))| ca == cb && key_cmp(a, b) == Ordering::Equal)
+    }
 }
 
 impl Histogram {
     /// Build a histogram from a column of values (nulls ignored) — any iterator of
     /// cells: a slice, or a selection view's [`crate::Column::cells`].
     pub fn from_values<'a>(values: impl IntoIterator<Item = &'a Value>) -> Histogram {
-        let mut counts: HashMap<OwnedGroupKey, (Value, usize)> = HashMap::new();
+        let mut counts: HashMap<GroupKey<'a>, (&'a Value, usize)> = HashMap::new();
         let mut total = 0usize;
         for v in values {
             if v.is_null() {
                 continue;
             }
             total += 1;
-            counts
-                .entry(v.owned_group_key())
-                .and_modify(|e| e.1 += 1)
-                .or_insert_with(|| (v.clone(), 1));
+            counts.entry(v.group_key()).or_insert((v, 0)).1 += 1;
         }
-        Histogram { counts, total }
+        let mut keyed: Vec<_> = counts.into_iter().collect();
+        keyed.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        let entries = keyed
+            .into_iter()
+            .map(|(_, (v, c))| (v.clone(), c))
+            .collect();
+        Histogram { entries, total }
     }
 
     /// Build a histogram over a column's visible rows, as a typed kernel (nulls
     /// ignored, same as [`Histogram::from_values`]).
     ///
     /// Dictionary storage counts by code into a flat `Vec` — no hashing per row —
-    /// and builds map entries only once per distinct value; integer/float storage
-    /// counts through primitive hash maps; `Mixed` falls back to the boxed path.
+    /// and sorts only the distinct strings; integer/float storage counts through
+    /// primitive hash maps and sorts the distinct keys (floats by bit pattern, the
+    /// [`GroupKey::Float`] order); `Mixed` falls back to the boxed path.
     pub fn from_column(col: &Column) -> Histogram {
         let n = col.len();
-        match col.data() {
+        let mut total = 0usize;
+        let entries = match col.data() {
             ColumnData::I64(xs) => {
                 let mut by_val: HashMap<i64, usize> = HashMap::new();
-                let mut total = 0usize;
                 for row in 0..n {
                     let si = col.storage_index(row);
                     if !col.is_null_storage(si) {
@@ -69,15 +100,12 @@ impl Histogram {
                         *by_val.entry(xs[si]).or_insert(0) += 1;
                     }
                 }
-                let counts = by_val
-                    .into_iter()
-                    .map(|(x, c)| (OwnedGroupKey::Int(x), (Value::Int(x), c)))
-                    .collect();
-                Histogram { counts, total }
+                let mut pairs: Vec<(i64, usize)> = by_val.into_iter().collect();
+                pairs.sort_unstable_by_key(|&(x, _)| x);
+                pairs.into_iter().map(|(x, c)| (Value::Int(x), c)).collect()
             }
             ColumnData::F64(xs) => {
                 let mut by_bits: HashMap<u64, usize> = HashMap::new();
-                let mut total = 0usize;
                 for row in 0..n {
                     let si = col.storage_index(row);
                     if !col.is_null_storage(si) {
@@ -85,20 +113,15 @@ impl Histogram {
                         *by_bits.entry(xs[si].to_bits()).or_insert(0) += 1;
                     }
                 }
-                let counts = by_bits
+                let mut pairs: Vec<(u64, usize)> = by_bits.into_iter().collect();
+                pairs.sort_unstable_by_key(|&(bits, _)| bits);
+                pairs
                     .into_iter()
-                    .map(|(bits, c)| {
-                        (
-                            OwnedGroupKey::Float(bits),
-                            (Value::Float(f64::from_bits(bits)), c),
-                        )
-                    })
-                    .collect();
-                Histogram { counts, total }
+                    .map(|(bits, c)| (Value::Float(f64::from_bits(bits)), c))
+                    .collect()
             }
             ColumnData::Dict { codes, dict } => {
                 let mut by_code: Vec<usize> = vec![0; dict.len()];
-                let mut total = 0usize;
                 for row in 0..n {
                     let si = col.storage_index(row);
                     if !col.is_null_storage(si) {
@@ -106,52 +129,50 @@ impl Histogram {
                         by_code[codes[si] as usize] += 1;
                     }
                 }
-                let counts = by_code
+                // Dictionary entries are distinct strings, so sorting the used
+                // codes by string yields the canonical order.
+                let mut used: Vec<(u32, usize)> = by_code
                     .into_iter()
                     .enumerate()
                     .filter(|&(_, c)| c > 0)
-                    .map(|(code, c)| {
-                        let s = &dict[code];
-                        (
-                            OwnedGroupKey::Str(Arc::clone(s)),
-                            (Value::Str(Arc::clone(s)), c),
-                        )
-                    })
+                    .map(|(code, c)| (code as u32, c))
                     .collect();
-                Histogram { counts, total }
+                used.sort_unstable_by(|a, b| dict[a.0 as usize].cmp(&dict[b.0 as usize]));
+                used.into_iter()
+                    .map(|(code, c)| (Value::Str(Arc::clone(&dict[code as usize])), c))
+                    .collect()
             }
             ColumnData::Mixed(vs) => {
-                Histogram::from_values((0..n).map(|row| &vs[col.storage_index(row)]))
+                return Histogram::from_values((0..n).map(|row| &vs[col.storage_index(row)]))
             }
-        }
+        };
+        Histogram { entries, total }
     }
 
-    /// Rebuild a histogram from `(value, count)` pairs, e.g. the pairs [`Histogram::iter`]
-    /// yields. The inverse of iteration, used by persistence codecs: for any histogram
-    /// `h`, `Histogram::from_counts(h.iter().map(|(v, c)| (v.clone(), c))) == h`.
+    /// Rebuild a histogram from `(value, count)` pairs already in canonical order —
+    /// the pairs [`Histogram::iter`] yields, so for any histogram `h`,
+    /// `Histogram::from_canonical(h.iter().map(|(v, c)| (v.clone(), c)).collect())`
+    /// is `Some(h)`. Used by persistence codecs; linear, no hashing, no sort.
     ///
-    /// Null values and zero counts are skipped (a histogram never stores either);
-    /// duplicate keys accumulate, so malformed input still yields a well-formed
-    /// histogram whose `total` matches the sum of its counts.
-    pub fn from_counts(pairs: impl IntoIterator<Item = (Value, usize)>) -> Histogram {
-        let mut counts: HashMap<OwnedGroupKey, (Value, usize)> = HashMap::new();
+    /// `None` if the pairs are not canonical: a key out of order or repeated, a null
+    /// value, a zero count, or counts whose sum overflows.
+    pub fn from_canonical(entries: Vec<(Value, usize)>) -> Option<Histogram> {
         let mut total = 0usize;
-        for (v, c) in pairs {
-            if v.is_null() || c == 0 {
-                continue;
+        for (i, (v, c)) in entries.iter().enumerate() {
+            if v.is_null() || *c == 0 {
+                return None;
             }
-            total += c;
-            counts
-                .entry(v.owned_group_key())
-                .and_modify(|e| e.1 += c)
-                .or_insert((v, c));
+            if i > 0 && key_cmp(&entries[i - 1].0, v) != Ordering::Less {
+                return None;
+            }
+            total = total.checked_add(*c)?;
         }
-        Histogram { counts, total }
+        Some(Histogram { entries, total })
     }
 
     /// Number of distinct values.
     pub fn n_distinct(&self) -> usize {
-        self.counts.len()
+        self.entries.len()
     }
 
     /// Total number of counted (non-null) observations.
@@ -159,11 +180,11 @@ impl Histogram {
         self.total
     }
 
-    /// Count for a specific value.
+    /// Count for a specific value (a binary search over the canonical entries).
     pub fn count(&self, v: &Value) -> usize {
-        self.counts
-            .get(&v.owned_group_key())
-            .map(|e| e.1)
+        self.entries
+            .binary_search_by(|(e, _)| key_cmp(e, v))
+            .map(|i| self.entries[i].1)
             .unwrap_or(0)
     }
 
@@ -176,25 +197,26 @@ impl Histogram {
         }
     }
 
-    /// Iterate `(value, count)` pairs in unspecified order.
+    /// Iterate `(value, count)` pairs in canonical ([`Value::group_key`]) order.
     pub fn iter(&self) -> impl Iterator<Item = (&Value, usize)> {
-        self.counts.values().map(|(v, c)| (v, *c))
+        self.entries.iter().map(|(v, c)| (v, *c))
     }
 
     /// The `(value, count)` pairs sorted by descending count then ascending value
     /// (deterministic ordering for display / insight extraction).
     pub fn sorted(&self) -> Vec<(Value, usize)> {
-        let mut pairs: Vec<(Value, usize)> = self.counts.values().cloned().collect();
+        let mut pairs = self.entries.clone();
         pairs.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         pairs
     }
 
-    /// The most frequent value and its relative frequency, if any.
+    /// The most frequent value and its relative frequency, if any: the first entry
+    /// of [`Histogram::sorted`], found in one pass.
     pub fn mode(&self) -> Option<(Value, f64)> {
-        self.sorted()
-            .into_iter()
-            .next()
-            .map(|(v, c)| (v, c as f64 / self.total.max(1) as f64))
+        self.entries
+            .iter()
+            .min_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)))
+            .map(|(v, c)| (v.clone(), *c as f64 / self.total.max(1) as f64))
     }
 
     /// Shannon entropy (nats) of the value distribution.
@@ -203,10 +225,10 @@ impl Histogram {
             return 0.0;
         }
         let n = self.total as f64;
-        self.counts
-            .values()
-            .map(|(_, c)| {
-                let p = *c as f64 / n;
+        self.entries
+            .iter()
+            .map(|&(_, c)| {
+                let p = c as f64 / n;
                 -p * p.ln()
             })
             .sum()
@@ -224,22 +246,33 @@ impl Histogram {
 
     /// KL divergence `KL(self || other)` with epsilon smoothing for values missing from
     /// `other`. Values unseen in `self` contribute nothing. Returns 0 for empty `self`.
+    ///
+    /// A merge-walk: `other`'s cursor only moves forward, so the cost is
+    /// `O(self.n_distinct() + other.n_distinct())` key comparisons.
     pub fn kl_divergence(&self, other: &Histogram) -> f64 {
         if self.total == 0 {
             return 0.0;
         }
+        let total = self.total as f64;
         let other_total = other.total.max(1) as f64;
+        let mut rest = other.entries.iter().peekable();
         let mut kl = 0.0;
-        // Look other's counts up by the stored group keys directly (KL runs on every
-        // filter-interestingness reward; the loop performs no allocation).
-        for (k, (_, c)) in &self.counts {
-            let p = *c as f64 / self.total as f64;
-            let q = other
-                .counts
-                .get(k)
-                .map(|(_, oc)| *oc as f64 / other_total)
-                .unwrap_or(0.0)
-                .max(EPS);
+        for (v, c) in &self.entries {
+            let mut oc = 0;
+            while let Some((ov, n)) = rest.peek() {
+                match key_cmp(ov, v) {
+                    Ordering::Less => {
+                        rest.next();
+                    }
+                    Ordering::Equal => {
+                        oc = *n;
+                        break;
+                    }
+                    Ordering::Greater => break,
+                }
+            }
+            let p = *c as f64 / total;
+            let q = (oc as f64 / other_total).max(EPS);
             kl += p * (p / q).ln();
         }
         kl.max(0.0)
@@ -247,27 +280,34 @@ impl Histogram {
 
     /// Total-variation distance (half the L1 distance) between the two distributions,
     /// a symmetric, bounded `[0, 1]` measure used for session diversity.
+    ///
+    /// A merge-walk over the union of both supports, in canonical order.
     pub fn total_variation(&self, other: &Histogram) -> f64 {
-        let mut keys: std::collections::HashSet<&OwnedGroupKey> = std::collections::HashSet::new();
-        for k in self.counts.keys() {
-            keys.insert(k);
-        }
-        for k in other.counts.keys() {
-            keys.insert(k);
-        }
+        let (pt, qt) = (self.total.max(1) as f64, other.total.max(1) as f64);
+        let (mut a, mut b) = (
+            self.entries.iter().peekable(),
+            other.entries.iter().peekable(),
+        );
         let mut dist = 0.0;
-        for k in keys {
-            let p = self
-                .counts
-                .get(k)
-                .map(|e| e.1 as f64 / self.total.max(1) as f64)
-                .unwrap_or(0.0);
-            let q = other
-                .counts
-                .get(k)
-                .map(|e| e.1 as f64 / other.total.max(1) as f64)
-                .unwrap_or(0.0);
-            dist += (p - q).abs();
+        loop {
+            // Which run holds the smaller next key; equal keys advance both.
+            let ord = match (a.peek(), b.peek()) {
+                (None, None) => break,
+                (Some(_), None) => Ordering::Less,
+                (None, Some(_)) => Ordering::Greater,
+                (Some((va, _)), Some((vb, _))) => key_cmp(va, vb),
+            };
+            let p = if ord != Ordering::Greater {
+                a.next().map_or(0, |e| e.1)
+            } else {
+                0
+            };
+            let q = if ord != Ordering::Less {
+                b.next().map_or(0, |e| e.1)
+            } else {
+                0
+            };
+            dist += (p as f64 / pt - q as f64 / qt).abs();
         }
         (dist / 2.0).clamp(0.0, 1.0)
     }

@@ -84,7 +84,10 @@ impl StatValue {
             (std::mem::size_of::<crate::value::Value>() + v.as_str().map(str::len).unwrap_or(0))
                 as u64
         }
-        const ENTRY_OVERHEAD: u64 = 32; // hash-map slot + count fields, roughly
+        // Per-entry bookkeeping (a histogram entry's count, a group's or summary's
+        // header), roughly. Histograms are sorted vectors now, but the charge stays
+        // the one their former hash-map slots set, so eviction behaves as before.
+        const ENTRY_OVERHEAD: u64 = 32;
         match self {
             StatValue::Hist(h) => h.iter().map(|(v, _)| ENTRY_OVERHEAD + value_bytes(v)).sum(),
             StatValue::Groups(g) => {

@@ -119,7 +119,11 @@ pub enum Value {
 /// distinct keys (the enum discriminant participates in `Hash`/`Eq`). Floats key by
 /// their IEEE-754 bit pattern — NaN never occurs ([`Value::float`] normalizes it to
 /// `Null`), and `-0.0`/`0.0` stay distinct exactly as their old `{:?}` renderings did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+///
+/// The derived `Ord` (variant order, then payload: integers numerically, floats by bit
+/// pattern, strings bytewise) is the canonical order of [`crate::stats::Histogram`]
+/// entries — a total order on keys, not a numeric order on values.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum GroupKey<'a> {
     /// The null group.
     Null,

@@ -98,7 +98,10 @@ const MAGIC: [u8; 4] = *b"LNXP";
 
 /// The on-disk format version. Bump on any payload layout change; readers treat
 /// every other version as a miss (and delete the file), never as data.
-pub const FORMAT_VERSION: u16 = 1;
+///
+/// Version 2: histogram entries are written in canonical order (and must decode in
+/// it), and result scores are computed with canonical-order sums.
+pub const FORMAT_VERSION: u16 = 2;
 
 /// File extension of persisted entries; only such files are counted and evicted.
 const ENTRY_EXT: &str = "lnx";
@@ -354,6 +357,9 @@ fn put_histogram(out: &mut Vec<u8>, h: &Histogram) {
     }
 }
 
+/// Histograms travel in their canonical entry order, so equal histograms encode to
+/// equal bytes in any process; decoding checks that order in one linear pass (the
+/// startup scrub decodes every `sth-*` entry) and rejects anything else.
 fn take_histogram(r: &mut Reader<'_>) -> Result<Histogram, CodecError> {
     let n = r.take_count()?;
     let mut pairs = Vec::with_capacity(n);
@@ -362,7 +368,10 @@ fn take_histogram(r: &mut Reader<'_>) -> Result<Histogram, CodecError> {
         let c = r.take_u64()? as usize;
         pairs.push((v, c));
     }
-    Ok(Histogram::from_counts(pairs))
+    match Histogram::from_canonical(pairs) {
+        Some(h) => Ok(h),
+        None => err("histogram entries not canonical"),
+    }
 }
 
 fn put_groups(out: &mut Vec<u8>, g: &Groups) {

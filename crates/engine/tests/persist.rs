@@ -157,6 +157,115 @@ fn wrong_version_entries_are_clean_misses_and_unlinked() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Frame `payload` as a statistics entry of kind `kind`, sealed with a valid
+/// checksum, so only the payload checks can reject it.
+fn seal(kind: u8, payload: &[u8]) -> Vec<u8> {
+    let mut out = b"LNXP".to_vec();
+    out.extend_from_slice(&linx_engine::persist::FORMAT_VERSION.to_le_bytes());
+    out.push(kind);
+    out.extend_from_slice(payload);
+    let mut h = Fnv1a::new();
+    h.write(&out);
+    out.extend_from_slice(&h.finish().to_le_bytes());
+    out
+}
+
+/// A histogram payload of `(string or null, count)` pairs written in the given order.
+fn hist_payload(pairs: &[(Option<&str>, u64)]) -> Vec<u8> {
+    let mut p = (pairs.len() as u64).to_le_bytes().to_vec();
+    for (v, c) in pairs {
+        match v {
+            Some(s) => {
+                p.push(3);
+                p.extend_from_slice(&(s.len() as u64).to_le_bytes());
+                p.extend_from_slice(s.as_bytes());
+            }
+            None => p.push(0),
+        }
+        p.extend_from_slice(&c.to_le_bytes());
+    }
+    p
+}
+
+#[test]
+fn histograms_encode_to_the_same_bytes_whatever_the_build_order() {
+    let cells: Vec<Value> = ["b", "a", "c", "a", "b", "a"]
+        .iter()
+        .map(|s| Value::str(*s))
+        .chain([
+            Value::Int(3),
+            Value::float(0.5),
+            Value::Null,
+            Value::Bool(true),
+        ])
+        .collect();
+    let encode =
+        |cells: &[Value]| encode_stat(&StatValue::Hist(Arc::new(Histogram::from_values(cells))));
+    let forward = encode(&cells);
+    let mut reversed = cells.clone();
+    reversed.reverse();
+    assert_eq!(forward, encode(&reversed));
+    let mut rotated = cells.clone();
+    rotated.rotate_left(4);
+    assert_eq!(forward, encode(&rotated));
+    // The typed (dictionary) build writes the same bytes as the boxed one.
+    let strs: Vec<Value> = cells
+        .iter()
+        .filter(|v| v.as_str().is_some())
+        .cloned()
+        .collect();
+    let df = linx_dataframe::DataFrame::from_rows(
+        &["c"],
+        strs.iter().map(|v| vec![v.clone()]).collect(),
+    )
+    .unwrap();
+    assert_eq!(
+        encode_stat(&StatValue::Hist(Arc::new(df.histogram("c").unwrap()))),
+        encode(&strs)
+    );
+}
+
+#[test]
+fn non_canonical_histogram_payloads_are_rejected_and_quarantined() {
+    const KIND_HIST: u8 = 2;
+    let canonical = seal(KIND_HIST, &hist_payload(&[(Some("a"), 1), (Some("b"), 2)]));
+    match decode_stat(&canonical).unwrap() {
+        StatValue::Hist(h) => assert_eq!((h.total(), h.n_distinct()), (3, 2)),
+        other => panic!("wrong variant: {other:?}"),
+    }
+    let bad = [
+        (
+            "out of order",
+            hist_payload(&[(Some("b"), 1), (Some("a"), 1)]),
+        ),
+        (
+            "duplicate key",
+            hist_payload(&[(Some("a"), 1), (Some("a"), 2)]),
+        ),
+        ("null value", hist_payload(&[(None, 1), (Some("a"), 1)])),
+        (
+            "zero count",
+            hist_payload(&[(Some("a"), 0), (Some("b"), 1)]),
+        ),
+    ];
+    let dir = temp_dir("non-canonical");
+    std::fs::create_dir_all(&dir).unwrap();
+    for (i, (why, payload)) in bad.iter().enumerate() {
+        let bytes = seal(KIND_HIST, payload);
+        assert!(decode_stat(&bytes).is_err(), "{why} must not decode");
+        std::fs::write(dir.join(format!("sth-{i:016x}-{i:016x}.lnx")), &bytes).unwrap();
+    }
+    std::fs::write(
+        dir.join("sth-00000000000000ff-00000000000000ff.lnx"),
+        &canonical,
+    )
+    .unwrap();
+    let tier = DiskTier::open(&PersistConfig::new(&dir)).unwrap();
+    let scrub = tier.scrub_report();
+    assert_eq!((scrub.scanned, scrub.quarantined, scrub.entries), (5, 4, 1));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn corrupt_stat_entries_fall_back_to_computation() {
     let dir = temp_dir("stat-corrupt");

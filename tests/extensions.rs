@@ -88,18 +88,12 @@ fn refinement_keeps_compliance_and_does_not_lower_utility() {
     if engine.verify(&outcome.training.best_tree) {
         let terms = TermInventory::build(&dataset, 12);
         let reward = ExplorationReward::default();
-        let refined = refine_session(
-            &outcome.training.best_tree,
-            &dataset,
-            &engine,
-            &terms,
-            &reward,
-        );
+        let exec = linx_explore::SessionExecutor::new(dataset.clone());
+        let refined = refine_session(&outcome.training.best_tree, &exec, &engine, &terms, &reward);
         assert!(
             engine.verify(&refined),
             "refinement must preserve compliance"
         );
-        let exec = linx_explore::SessionExecutor::new(dataset.clone());
         assert!(
             reward.session_score(&exec, &refined)
                 >= reward.session_score(&exec, &outcome.training.best_tree) - 1e-9
